@@ -368,9 +368,7 @@ impl ProtocolAuditor {
         let cycles = Self::cycles_in(&st);
         st.detections
             .iter()
-            .filter(|d| {
-                !cycles.iter().any(|c| c.resources.contains(&d.requested))
-            })
+            .filter(|d| !cycles.iter().any(|c| c.resources.contains(&d.requested)))
             .cloned()
             .collect()
     }

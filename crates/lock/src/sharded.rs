@@ -337,10 +337,7 @@ mod tests {
         );
         let l = Arc::new(l);
         // Bytes 'c','d','e' → shards 2,0,1: three distinct shards.
-        let res: Vec<Resource> = ["cc", "dd", "ee"]
-            .iter()
-            .map(Resource::table)
-            .collect();
+        let res: Vec<Resource> = ["cc", "dd", "ee"].iter().map(Resource::table).collect();
         let shard_set: std::collections::BTreeSet<usize> =
             res.iter().map(|r| l.shard_of(r)).collect();
         assert_eq!(shard_set.len(), 3, "ring must straddle three shards");

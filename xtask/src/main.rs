@@ -123,9 +123,11 @@ fn allowed_deps() -> BTreeMap<&'static str, Vec<&'static str>> {
             "youtopia-workload",
         ],
     );
-    // The umbrella re-exports every layer by design; xtask depends on
-    // nothing.
-    m.insert("entangled-transactions", all_workspace_crates());
+    // The umbrella re-exports every layer by design, but not the bench
+    // harness that sits above it; xtask depends on nothing.
+    let mut layers = all_workspace_crates();
+    layers.retain(|c| *c != "youtopia-bench");
+    m.insert("entangled-transactions", layers);
     m.insert("xtask", vec![]);
     m
 }
@@ -171,11 +173,6 @@ fn check_layering(root: &Path, findings: &mut Vec<String>) {
             continue;
         };
         for dep in workspace_deps(&text) {
-            // The umbrella's dev-dependency on the bench harness is the
-            // one sanctioned upward edge outside the DAG map.
-            if name == "entangled-transactions" && dep == "youtopia-bench" {
-                continue;
-            }
             if !allow.contains(&dep.as_str()) {
                 findings.push(format!(
                     "{}: layering violation — '{name}' must not depend on '{dep}'",
