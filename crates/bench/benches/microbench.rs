@@ -1,7 +1,9 @@
 //! Component microbenchmarks: entangled-query evaluation (grounding +
-//! coordinating-set search), lock manager throughput, WAL append/recovery.
+//! coordinating-set search), entanglement-group lookups, lock manager
+//! throughput, WAL append/recovery.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use entangled_txn::GroupManager;
 use youtopia_entangle::{from_ast, ground, solve, SolveInput, SolverConfig};
 use youtopia_lock::{LockManager, LockMode, Resource, TxId};
 use youtopia_sql::{parse_statement, Statement, VarEnv};
@@ -53,6 +55,44 @@ fn bench_entangle(c: &mut Criterion) {
                     },
                 ];
                 solve(&inputs, &SolverConfig::default())
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Group lookups after `n` pairs have been linked and forgotten (the
+/// scheduler's history after `n` settled pairs): each sample asks about
+/// 1000 ids, half of them members of one live pair and half forgotten.
+/// The cost should not grow with `n`. `merge` builds two fresh
+/// `n`-member groups and joins them, the build included in the sample.
+fn bench_groups(c: &mut Criterion) {
+    let mut group = c.benchmark_group("group-lookup");
+    for n in [1_000u64, 10_000, 100_000] {
+        let gm = GroupManager::new();
+        for i in 0..n {
+            gm.link(&[2 * i, 2 * i + 1]);
+        }
+        gm.forget(&(0..2 * n).collect::<Vec<_>>());
+        let live = 2 * n;
+        gm.link(&[live, live + 1]);
+        let asked: Vec<u64> = (0..1000)
+            .map(|i| if i % 2 == 0 { live } else { i })
+            .collect();
+        group.bench_with_input(BenchmarkId::new("is_grouped", n), &n, |b, _| {
+            b.iter(|| asked.iter().filter(|&&tx| gm.is_grouped(tx)).count());
+        });
+        group.bench_with_input(BenchmarkId::new("members", n), &n, |b, _| {
+            b.iter(|| asked.iter().map(|&tx| gm.members(tx).len()).sum::<usize>());
+        });
+        group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
+            b.iter(|| {
+                let gm = GroupManager::new();
+                let left: Vec<u64> = (0..n).collect();
+                let right: Vec<u64> = (n..2 * n).collect();
+                gm.link(&left);
+                gm.link(&right);
+                black_box(gm.link(&[0, n]))
             });
         });
     }
@@ -111,5 +151,11 @@ fn bench_wal(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_entangle, bench_locks, bench_wal);
+criterion_group!(
+    benches,
+    bench_entangle,
+    bench_groups,
+    bench_locks,
+    bench_wal
+);
 criterion_main!(benches);

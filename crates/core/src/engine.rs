@@ -931,6 +931,9 @@ impl Engine {
         if txns.is_empty() {
             return;
         }
+        // One group lookup per transaction: the WAL group id, or `None`
+        // for a transaction that never entangled.
+        let gids: Vec<Option<u64>> = txns.iter().map(|t| self.groups.group_id(t.tx)).collect();
         if !self.config.wal_group_commit {
             // The ablation baseline: one publish and one serialized
             // device sync per entanglement group — the pre-pipeline commit
@@ -940,21 +943,15 @@ impl Engine {
             // and so under-modelled fsync serialization. The settle path
             // hands groups over as contiguous slices, so chunking at
             // group boundaries suffices.
-            let mut rest: &mut [&mut Txn] = txns;
-            while !rest.is_empty() {
-                let gid = self.groups.group_id(rest[0].tx);
-                let mut end = 1;
-                while end < rest.len() && gid.is_some() && self.groups.group_id(rest[end].tx) == gid
-                {
-                    end += 1;
-                }
-                let (chunk, tail) = rest.split_at_mut(end);
-                self.publish_and_commit(chunk, false);
-                rest = tail;
+            let mut start = 0;
+            while start < txns.len() {
+                let end = unit_end(&gids, start);
+                self.publish_and_commit(&mut txns[start..end], &gids[start..end], false);
+                start = end;
             }
             return;
         }
-        self.publish_and_commit(txns, true);
+        self.publish_and_commit(txns, &gids, true);
     }
 
     /// The two commit phases for one publish unit; `batched` selects the
@@ -976,7 +973,7 @@ impl Engine {
     /// Installing before lock release keeps version order aligned with
     /// 2PL serialization order for conflicting rows; completing after all
     /// installs keeps half-installed batches invisible to snapshots.
-    fn publish_and_commit(&self, txns: &mut [&mut Txn], batched: bool) {
+    fn publish_and_commit(&self, txns: &mut [&mut Txn], gids: &[Option<u64>], batched: bool) {
         // From here until every lock is released, the batch is inside the
         // commit pipeline: mark its members so the deadlock victim policy
         // treats their entanglement groups as immune (a group with a
@@ -991,7 +988,8 @@ impl Engine {
         };
         let durable: Vec<bool> = txns
             .iter()
-            .map(|t| self.groups.group_id(t.tx).is_some() || t.redo.iter().any(is_write))
+            .zip(gids)
+            .map(|(t, gid)| gid.is_some() || t.redo.iter().any(is_write))
             .collect();
 
         if durable.iter().any(|&d| d) {
@@ -1013,12 +1011,8 @@ impl Engine {
 
             let mut i = 0;
             while i < txns.len() {
-                let gid = self.groups.group_id(txns[i].tx);
-                let mut end = i + 1;
-                while end < txns.len() && gid.is_some() && self.groups.group_id(txns[end].tx) == gid
-                {
-                    end += 1;
-                }
+                let gid = gids[i];
+                let end = unit_end(gids, i);
                 if !durable[i..end].iter().any(|&d| d) {
                     for t in txns[i..end].iter_mut() {
                         t.redo.clear();
@@ -1524,6 +1518,16 @@ fn record_table(r: &LogRecord) -> Option<&str> {
         | LogRecord::CreateIndex { table, .. } => Some(table),
         LogRecord::CreateTable { name, .. } => Some(name),
         _ => None,
+    }
+}
+
+/// End (exclusive) of the commit unit starting at `start`: the run of
+/// transactions sharing `gids[start]`'s group, or just `start` itself when
+/// it never entangled.
+fn unit_end(gids: &[Option<u64>], start: usize) -> usize {
+    match gids[start] {
+        Some(g) => start + gids[start..].iter().take_while(|&&x| x == Some(g)).count(),
+        None => start + 1,
     }
 }
 

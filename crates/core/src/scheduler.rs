@@ -554,11 +554,11 @@ impl Scheduler {
         let engine = self.engine.clone();
         let group_commit_enabled = engine.config.isolation != IsolationMode::AllowWidows;
 
-        // Group membership over engine tx ids.
-        let mut by_tx: HashMap<u64, usize> = HashMap::new();
-        for (i, t) in run.iter().enumerate() {
-            by_tx.insert(t.tx, i);
-        }
+        // Group membership over engine tx ids. The ids are kept for the
+        // final `forget`: `requeue` below hands retries fresh ids.
+        let run_txs: Vec<u64> = run.iter().map(|t| t.tx).collect();
+        let by_tx: HashMap<u64, usize> =
+            run_txs.iter().enumerate().map(|(i, &tx)| (tx, i)).collect();
 
         // Decide fate of every ready transaction.
         let mut committed_idx: HashSet<usize> = HashSet::new();
@@ -667,6 +667,13 @@ impl Scheduler {
                 }
             }
         }
+
+        // Every attempt of the run is now committed, aborted, requeued
+        // under a new id or finished, so its groups can go. Groups form
+        // only among one run's blocked set (`Engine::evaluate_queries`),
+        // so no live transaction — in a later run or another scheduler's —
+        // shares a group with any of these ids.
+        engine.groups.forget(&run_txs);
     }
 
     fn requeue(&mut self, mut txn: Txn, report: &mut RunReport) {
@@ -1096,6 +1103,32 @@ mod tests {
                 "deterministic first choice"
             );
         }
+    }
+
+    #[test]
+    fn drain_leaves_no_groups_behind() {
+        let mut s = Scheduler::new(
+            engine(),
+            SchedulerConfig {
+                connections: 2,
+                ..Default::default()
+            },
+        );
+        for i in 0..20 {
+            let (a, b) = (format!("a{i}"), format!("b{i}"));
+            s.submit(flight_txn(&a, &b));
+            s.submit(flight_txn(&b, &a));
+            s.submit(
+                Program::parse(&format!(
+                    "BEGIN; INSERT INTO Reserve (uid, fid) VALUES ('c{i}', 1); COMMIT;"
+                ))
+                .unwrap(),
+            );
+        }
+        let stats = s.drain();
+        assert_eq!(stats.committed, 60);
+        assert_eq!(stats.group_commits, 20);
+        assert_eq!(s.engine.groups.len(), 0);
     }
 
     #[test]
